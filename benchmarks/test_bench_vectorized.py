@@ -1,31 +1,41 @@
-"""E7 — vectorized batch execution vs row-at-a-time Volcano iteration.
+"""E7 — vectorized batch execution vs a frozen row-at-a-time comparator.
 
-Two gates for the batch execution mode (``REPRO_BATCH_EXEC``):
+Two gates for the engine's batch execution protocol:
 
 * the scan+filter+aggregate microbenchmark (bestseller/search-shaped:
   one big table, a selective predicate with a LIKE, GROUP BY with
-  COUNT/SUM/AVG) must run **at least 2x faster** in batch mode than in
-  row mode, with identical result rows;
-* the **full TPC-W mix** (Browsing, Shopping, Ordering) must return
-  identical per-statement results in both modes, with checked plans on —
-  so the batch kernels are held to scalar semantics by the actual
-  workload, not just by unit tests.
+  COUNT/SUM/AVG) must run **at least 2x faster** through the engine's
+  batch operators than through a row-at-a-time comparator, with
+  identical result rows. The comparator lives in this file: it drives
+  the *same* plan's compiled scalar closures one row per generator step
+  (a storage scan, the filter predicate, the projections, then
+  ``_AggState.add``) — the Volcano iteration batch execution replaced.
+  Both sides run through ``Server.execute`` (same parse, plan and lock
+  path); only the plan drain differs;
+* the **full TPC-W mix** (Browsing, Shopping, Ordering) with checked
+  plans on: every SELECT the backend executes must return what the
+  reference evaluator (``repro.exec.reference``) computes over the
+  backend database at that moment — so the batch kernels are held to
+  scalar semantics by the actual workload, not just by unit tests.
 
 Timing uses best-of-N-rounds wall time on a warmed plan cache, so the
-comparison isolates execution (both modes share parse/plan/kernel
-caches).
+comparison isolates execution.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from typing import Dict, List
+from collections import Counter
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Tuple
 
 from benchmarks.conftest import emit
 from repro.engine import Server
+from repro.exec.operators import AggregateOp, FilterOp, ProjectOp, SeqScanOp, _AggState
+from repro.exec.reference import evaluate_select
 from repro.mtcache.odbc import OdbcSourceRegistry
+from repro.sql.formatter import format_statement
 from repro.tpcw import MIXES, TPCWApplication, TPCWConfig, build_backend, enable_caching
 
 #: Microbench scale: enough rows that per-row interpretation dominates.
@@ -57,9 +67,44 @@ def _build_micro_server() -> Server:
     return server
 
 
-def _time_mode(server: Server, batch: bool, repetitions: int = 15, rounds: int = 3) -> float:
-    """Best-of-rounds mean seconds per statement in the given mode."""
-    server.batch_exec = batch
+def _rows(op, ctx) -> Iterator[Tuple]:
+    """Frozen row-at-a-time drain of the micro plan's operators.
+
+    One row per generator step through the plan's compiled scalar
+    closures, counting ``rows_processed`` per input row like the batch
+    operators do. Covers exactly the operator kinds the micro plan uses.
+    """
+    if isinstance(op, SeqScanOp):
+        for _, row in ctx.database.storage_table(op.table_name).scan():
+            ctx.work.rows_processed += 1
+            yield row
+    elif isinstance(op, FilterOp):
+        for row in _rows(op.children[0], ctx):
+            ctx.work.rows_processed += 1
+            if op.predicate(row, ctx) is True:
+                yield row
+    elif isinstance(op, ProjectOp):
+        for row in _rows(op.children[0], ctx):
+            ctx.work.rows_processed += 1
+            yield tuple(maker(row, ctx) for maker in op.makers)
+    elif isinstance(op, AggregateOp):
+        groups: Dict[Tuple, List[_AggState]] = {}
+        for row in _rows(op.children[0], ctx):
+            ctx.work.rows_processed += 1
+            key = tuple(maker(row, ctx) for maker in op.group_makers)
+            states = groups.get(key)
+            if states is None:
+                states = groups[key] = [_AggState(spec) for spec in op.aggregates]
+            for state in states:
+                state.add(row, ctx)
+        for key, states in groups.items():
+            yield key + tuple(state.result() for state in states)
+    else:
+        raise AssertionError(f"row comparator does not cover {op.describe()}")
+
+
+def _time_statement(server: Server, repetitions: int = 15, rounds: int = 3) -> float:
+    """Best-of-rounds mean seconds per micro statement."""
     server.execute(MICRO_QUERY, params=MICRO_PARAMS)  # warm plan + kernels
     best = float("inf")
     for _ in range(rounds):
@@ -70,18 +115,34 @@ def _time_mode(server: Server, batch: bool, repetitions: int = 15, rounds: int =
     return best / repetitions
 
 
+@contextmanager
+def _row_at_a_time(server: Server):
+    """Drain ``server``'s plans through the frozen comparator inside the block."""
+    server._run_plan = lambda root, ctx: list(_rows(root, ctx))
+    try:
+        yield
+    finally:
+        del server._run_plan
+
+
+def _run_micro(server: Server) -> Tuple[List[Tuple], int]:
+    """(result rows, rows_processed) of one micro statement."""
+    server.reset_work()
+    rows = server.execute(MICRO_QUERY, params=MICRO_PARAMS).rows
+    return rows, server.total_work.rows_processed
+
+
 def test_bench_vectorized_speedup(benchmark, capsys, bench_recorder):
     server = _build_micro_server()
-
-    server.batch_exec = False
-    row_rows = server.execute(MICRO_QUERY, params=MICRO_PARAMS).rows
-    server.batch_exec = True
-    batch_rows = server.execute(MICRO_QUERY, params=MICRO_PARAMS).rows
-    assert batch_rows == row_rows, "batch mode must return identical rows"
+    batch_rows, batch_work = _run_micro(server)
+    with _row_at_a_time(server):
+        row_rows, row_work = _run_micro(server)
+        row_seconds = _time_statement(server)
+    assert batch_rows == row_rows, "batch execution must return identical rows"
     assert row_rows, "microbench query must produce rows"
+    assert batch_work == row_work, "both drains must touch the same rows"
 
-    row_seconds = _time_mode(server, batch=False)
-    batch_seconds = _time_mode(server, batch=True)
+    batch_seconds = _time_statement(server)
     speedup = row_seconds / batch_seconds
 
     emit(
@@ -89,8 +150,8 @@ def test_bench_vectorized_speedup(benchmark, capsys, bench_recorder):
         "E7: vectorized batch execution (scan+filter+aggregate)",
         [
             f"rows scanned        {MICRO_ROWS:10,d}",
-            f"row mode            {row_seconds * 1e3:10.2f} ms/stmt",
-            f"batch mode          {batch_seconds * 1e3:10.2f} ms/stmt",
+            f"row-at-a-time       {row_seconds * 1e3:10.2f} ms/stmt  (frozen comparator)",
+            f"batch execution     {batch_seconds * 1e3:10.2f} ms/stmt",
             f"speedup             {speedup:10.2f}x  (gate: >= 2.0x)",
         ],
     )
@@ -102,101 +163,85 @@ def test_bench_vectorized_speedup(benchmark, capsys, bench_recorder):
         speedup=round(speedup, 3),
     )
     assert speedup >= 2.0, (
-        f"batch execution must be at least 2x faster on the "
-        f"scan+filter+aggregate microbench, measured {speedup:.2f}x"
+        f"batch execution must be at least 2x faster than row-at-a-time "
+        f"iteration on the scan+filter+aggregate microbench, measured {speedup:.2f}x"
     )
 
-    server.batch_exec = True
     benchmark(lambda: server.execute(MICRO_QUERY, params=MICRO_PARAMS))
 
 
-# -- full TPC-W mix identity --------------------------------------------------
+# -- full TPC-W mix against the reference evaluator ----------------------------
 
 _MIX_NAMES = ("Browsing", "Shopping", "Ordering")
-_MIX_CONFIG = dict(num_items=60, num_ebs=10)
 _INTERACTIONS_PER_MIX = 60
+#: (application target, TPC-W scale). Through the cache the backend sees
+#: the forwarded and remote work; straight to the backend it runs every
+#: read. The direct run has four items per subject, so subject listings
+#: return several ordered rows, but few browsers and hence few orders,
+#: which keeps the reference evaluator's cross products (best sellers)
+#: cheap.
+_MIX_RUNS = (
+    ("via_cache", dict(num_items=60, num_ebs=10)),
+    ("direct", dict(num_items=96, num_ebs=2)),
+)
 
 
-def _mix_traces(batch_on: bool) -> Dict[str, List[List[tuple]]]:
-    """Run all three TPC-W mixes, capturing every statement's result rows.
+def _normalized(rows, ordered: bool):
+    rows = [tuple(row) for row in rows]
+    return rows if ordered else Counter(rows)
 
-    The capture hooks ``Server.execute_statement`` at class level, so it
-    sees every statement on every server — the cache's local executions
-    *and* what the backend runs for forwarded/remote work. Identical
-    traces therefore mean the two modes agree statement-for-statement
-    across the whole deployment, not just at the application boundary.
+
+def test_bench_tpcw_mix_matches_reference(capsys, bench_recorder, monkeypatch):
+    """Every backend SELECT of the three mixes equals the reference evaluator.
+
+    The check hooks ``Server._execute_select`` at class level and runs
+    :func:`evaluate_select` right after each backend SELECT, still under
+    the statement's locks, so the oracle sees the database the statement
+    saw. That covers procedure bodies, remote queries and forwarded
+    statements shipped from the cache, and UNION branches.
     """
-    saved_env = {
-        name: os.environ.get(name)
-        for name in ("REPRO_BATCH_EXEC", "REPRO_CHECKED_PLANS")
-    }
-    os.environ["REPRO_BATCH_EXEC"] = "1" if batch_on else "0"
-    os.environ["REPRO_CHECKED_PLANS"] = "1"
-    captured: List[List[tuple]] = []
-    original = Server.execute_statement
+    monkeypatch.setenv("REPRO_CHECKED_PLANS", "1")
+    checked: List[str] = []
+    original = Server._execute_select
 
-    def capturing(self, statement, params=None, session=None, database=None):
-        result = original(
-            self, statement, params=params, session=session, database=database
-        )
-        captured.append([tuple(row) for row in result.rows])
+    def checking(self, statement, params, database, session):
+        result = original(self, statement, params, database, session)
+        if self.name == "backend":
+            ordered = bool(statement.order_by)
+            _, expected = evaluate_select(database, statement, params)
+            assert _normalized(result.rows, ordered) == _normalized(expected, ordered), (
+                f"backend SELECT differs from the reference evaluator: "
+                f"{format_statement(statement)}"
+            )
+            checked.append(format_statement(statement))
         return result
 
-    Server.execute_statement = capturing
-    try:
-        backend, config = build_backend(TPCWConfig(**_MIX_CONFIG))
+    monkeypatch.setattr(Server, "_execute_select", checking)
+    lines = []
+    for target, scale in _MIX_RUNS:
+        backend, config = build_backend(TPCWConfig(**scale))
         deployment, caches = enable_caching(backend, ["cache1"], config)
-        assert backend.batch_exec is batch_on
-        assert caches[0].server.batch_exec is batch_on
         assert backend.checked_plans and caches[0].server.checked_plans
         registry = OdbcSourceRegistry()
-        registry.register("tpcw", caches[0].server, "tpcw")
+        registry.register("tpcw", caches[0].server if target == "via_cache" else backend, "tpcw")
         application = TPCWApplication(registry.connect("tpcw"), config)
-        traces: Dict[str, List[List[tuple]]] = {}
         for seed, mix_name in enumerate(_MIX_NAMES, start=11):
             rng = random.Random(seed)
             sessions = [application.new_session() for _ in range(4)]
-            start = len(captured)
+            start = len(checked)
             mix = MIXES[mix_name]
             for step in range(_INTERACTIONS_PER_MIX):
                 application.run(mix.sample(rng), sessions[step % 4])
                 deployment.tick(0.02)
             deployment.sync()
-            traces[mix_name] = captured[start:]
-        return traces
-    finally:
-        Server.execute_statement = original
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
-def test_bench_tpcw_mix_identical_across_modes(capsys, bench_recorder):
-    row_traces = _mix_traces(batch_on=False)
-    batch_traces = _mix_traces(batch_on=True)
-    lines = []
-    for mix_name in _MIX_NAMES:
-        row_trace = row_traces[mix_name]
-        batch_trace = batch_traces[mix_name]
-        assert len(row_trace) == len(batch_trace), (
-            f"{mix_name}: modes executed different statement counts "
-            f"({len(row_trace)} vs {len(batch_trace)})"
-        )
-        for position, (row_result, batch_result) in enumerate(
-            zip(row_trace, batch_trace)
-        ):
-            assert row_result == batch_result, (
-                f"{mix_name}: statement {position} returned different rows "
-                "in batch mode"
+            statements = len(checked) - start
+            assert statements > 0, f"{mix_name} {target}: the backend ran no SELECT"
+            lines.append(
+                f"{mix_name:10s} {target:9s} {statements:5d} backend SELECTs "
+                f"({len(set(checked[start:])):3d} distinct) — equal to the reference"
             )
-        lines.append(
-            f"{mix_name:10s} {len(row_trace):5d} statements, "
-            f"{sum(len(result) for result in row_trace):6d} rows — identical"
-        )
-        bench_recorder.record(
-            "tpcw_mix_identity",
-            **{f"{mix_name.lower()}_statements": len(row_trace)},
-        )
-    emit(capsys, "E7: TPC-W mix identity across execution modes", lines)
+            bench_recorder.record(
+                "tpcw_mix_reference",
+                **{f"{mix_name.lower()}_{target}_backend_selects": statements},
+            )
+    emit(capsys, "E7: TPC-W mix against the reference evaluator", lines)

@@ -39,12 +39,7 @@ from repro.errors import (
     TransactionError,
     TypeCheckError,
 )
-from repro.exec.context import (
-    DEFAULT_BATCH_ROWS,
-    ExecutionContext,
-    WorkCounters,
-    batch_exec_default,
-)
+from repro.exec.context import DEFAULT_BATCH_ROWS, ExecutionContext, WorkCounters
 from repro.exec.operators import BatchCursor, PhysicalOperator
 from repro.obs.metrics import CounterGroupView, MetricsRegistry
 from repro.obs.tracing import NULL_SPAN as _NULL_SPAN
@@ -105,8 +100,6 @@ class Server:
         plan_cache_size: int = 512,
         observability: bool = True,
         checked_plans: Optional[bool] = None,
-        batch_exec: Optional[bool] = None,
-        batch_rows: int = DEFAULT_BATCH_ROWS,
         admission: Optional[Any] = None,
     ):
         from repro.distributed.linked_server import LinkedServerRegistry
@@ -126,12 +119,9 @@ class Server:
         self.metrics = MetricsRegistry(namespace=name)
         self.tracer = Tracer(service=name, enabled=observability)
         self._statement_seconds = self.metrics.histogram("engine.statement_seconds")
-        # Vectorized execution (REPRO_BATCH_EXEC, default on): plans are
-        # drained through BatchCursor in fixed-size row chunks instead of
-        # one row per generator resumption. Instruments are created
-        # eagerly so ``exec.*`` always appears in metrics exports.
-        self.batch_exec = batch_exec_default() if batch_exec is None else batch_exec
-        self.batch_rows = batch_rows
+        # Plans are drained chunk by chunk through BatchCursor.
+        # Instruments are created eagerly so ``exec.*`` always appears in
+        # metrics exports.
         self._exec_batches = self.metrics.counter("exec.batches")
         self._exec_batch_rows = self.metrics.histogram("exec.batch_rows")
         self._compiled_cache_hits = self.metrics.counter("exec.compiled_cache_hits")
@@ -635,14 +625,11 @@ class Server:
         return rows
 
     def _run_plan(self, root: PhysicalOperator, ctx: ExecutionContext) -> List[Tuple]:
-        """Drain a plan to a row list — BatchCursor in vectorized mode.
+        """Drain a plan to a row list, chunk by chunk through a BatchCursor.
 
-        The single chokepoint where both execution modes meet: batch mode
-        pulls fixed-size chunks via the batch protocol and records the
-        ``exec.*`` instruments; row mode is the classic Volcano loop.
+        The single chokepoint every plan execution passes; it records the
+        ``exec.*`` instruments.
         """
-        if not getattr(ctx, "batch_exec", False):
-            return list(root.execute(ctx))
         rows: List[Tuple] = []
         cursor = BatchCursor(root, ctx)
         batches = 0
@@ -667,8 +654,6 @@ class Server:
             clock=self.clock,
             fastpath=self.statement_fastpath,
             tracer=self.tracer if self.observability else None,
-            batch_exec=self.batch_exec,
-            batch_rows=self.batch_rows,
         )
         ctx.subquery_executor = lambda select, sub_params: self.run_subquery(
             select, sub_params, database, session
@@ -918,6 +903,11 @@ class Server:
             visit_ref(select.from_clause)
 
         visit_select(statement)
+
+    @property
+    def batch_rows(self) -> int:
+        """Chunk size of plan execution (reported in the wire WELCOME frame)."""
+        return DEFAULT_BATCH_ROWS
 
     def reset_work(self) -> None:
         """Zero the cumulative work counters (between calibration runs).

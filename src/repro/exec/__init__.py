@@ -1,4 +1,4 @@
-"""Execution layer: expression evaluation and Volcano-style operators."""
+"""Execution layer: expression evaluation and batch-iterator operators."""
 
 from repro.exec.expressions import ExpressionCompiler, compile_predicate, compile_scalar
 from repro.exec.context import ExecutionContext, WorkCounters

@@ -1,41 +1,58 @@
-"""Volcano-style physical operators, with a batch-at-a-time fast path.
+"""Physical operators under a batch-at-a-time iterator protocol.
 
-Each operator exposes an output :class:`Schema` and an ``execute(ctx)``
-generator producing tuples. Plans are re-executable: ``execute`` may be
-called many times with different contexts (different parameter bindings),
-which is exactly what dynamic plans need.
+Every operator exposes an output :class:`Schema` and one execution
+method, ``execute_batches(ctx)``: a generator of *non-empty* lists of
+rows (chunks), sized by ``ctx.batch_rows``. Plans are
+re-executable: ``execute_batches`` may be called many times with
+different contexts (different parameter bindings), which is exactly what
+dynamic plans need.
 
 ``FilterOp`` supports a *startup predicate* — the mechanism the paper uses
 to implement ChoosePlan: the predicate references only parameters, is
 evaluated once when the operator is opened, and when false the operator's
 input is never opened (its branch of the plan costs nothing at run time).
 
-**Batch protocol.** ``execute_batches(ctx)`` is the vectorized
-counterpart: a generator of *non-empty* lists of rows, ``ctx.batch_rows``
-per chunk at the source. Converted operators (scan, filter, project,
-aggregate, hash join, sort/top, distinct, union-all) override it to move
-whole chunks through compiled batch kernels (see
-``exec/expressions.py``); everything else inherits the base fallback
-shim, which chunks its own row-mode ``execute`` so converted and
-unconverted operators compose freely in one tree. Batch kernels are
+Filter, project, aggregate, hash join and sort run compiled batch
+kernels over whole chunks (see ``exec/expressions.py``); index
+access paths, the nested-loop, index-lookup and merge joins and the
+remote query evaluate their scalar closures row by row inside the chunk
+loop and flush their output every ``ctx.batch_rows`` rows, so a ``TOP``
+above them stops pulling after the first full chunk. Batch kernels are
 memoized per operator instance (:meth:`PhysicalOperator._kernel`) — and
 since cached plans *are* operator trees, the kernels live in the plan
-cache entry and die with it on a schema bump. Work counters are bumped
-identically in both modes (``rows_processed`` per input row), so batch
-execution is observably equivalent, not just result-equivalent.
+cache entry and die with it on a schema bump. ``rows_processed`` counts
+one touch per input row an operator consumes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.schema import Schema
 from repro.errors import ExecutionError
-from repro.exec.context import DEFAULT_BATCH_ROWS, ExecutionContext
+from repro.exec.context import ExecutionContext
 from repro.exec.expressions import Scalar, batch_form, tuple_kernel
 
 Row = Tuple
 Batch = List[Row]
+
+
+def _storage_index(ctx: ExecutionContext, table_name: str, index_name: str):
+    """(storage table, index) for an index access path."""
+    table = ctx.database.storage_table(table_name)
+    index = table.indexes.get(index_name)
+    if index is None:
+        raise ExecutionError(f"no index {index_name!r} on {table_name!r}")
+    return table, index
+
+
+def _fetch(table: Any, rids: Iterable, ctx: ExecutionContext) -> Iterator[Batch]:
+    """Fetch rows by rid, ``ctx.batch_rows`` per chunk."""
+    rids = iter(rids)
+    while chunk := [table.get(rid) for rid in islice(rids, ctx.batch_rows)]:
+        ctx.work.rows_processed += len(chunk)
+        yield chunk
 
 
 class PhysicalOperator:
@@ -48,27 +65,9 @@ class PhysicalOperator:
         self.estimated_rows: float = 0.0
         self.estimated_cost: float = 0.0
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        raise NotImplementedError
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """Volcano-compatible fallback shim: chunk the row-mode stream.
-
-        Operators without a native batch implementation interoperate with
-        batch consumers through this adapter. The class-level ``execute``
-        call deliberately bypasses any per-instance profiling patch, so a
-        profiled fallback operator counts its rows once (in the batch
-        instrumentation), not twice.
-        """
-        size = getattr(ctx, "batch_rows", DEFAULT_BATCH_ROWS)
-        chunk: Batch = []
-        for row in type(self).execute(self, ctx):
-            chunk.append(row)
-            if len(chunk) >= size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
+        """Yield the output as non-empty chunks of rows."""
+        raise NotImplementedError
 
     def _kernel(self, name: str, ctx: ExecutionContext, builder: Callable[[], Any]) -> Any:
         """Fetch (or build once) a named batch kernel for this operator.
@@ -126,11 +125,6 @@ class ValuesOp(PhysicalOperator):
         super().__init__(schema)
         self.row_makers = [list(makers) for makers in row_makers]
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for makers in self.row_makers:
-            ctx.work.rows_processed += 1
-            yield tuple(maker((), ctx) for maker in makers)
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         rows = []
         for makers in self.row_makers:
@@ -150,16 +144,9 @@ class SeqScanOp(PhysicalOperator):
         super().__init__(schema)
         self.table_name = table_name
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        table = ctx.database.storage_table(self.table_name)
-        for _, row in table.scan():
-            ctx.work.rows_processed += 1
-            yield row
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         table = ctx.database.storage_table(self.table_name)
-        size = getattr(ctx, "batch_rows", DEFAULT_BATCH_ROWS)
-        for chunk in table.scan_batches(size):
+        for chunk in table.scan_batches(ctx.batch_rows):
             ctx.work.rows_processed += len(chunk)
             yield chunk
 
@@ -182,20 +169,15 @@ class IndexSeekOp(PhysicalOperator):
         self.index_name = index_name
         self.key_makers = list(key_makers)
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        table = ctx.database.storage_table(self.table_name)
-        index = table.indexes.get(self.index_name)
-        if index is None:
-            raise ExecutionError(f"no index {self.index_name!r} on {self.table_name!r}")
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        table, index = _storage_index(ctx, self.table_name, self.index_name)
         key = tuple(maker((), ctx) for maker in self.key_makers)
         ctx.work.index_seeks += 1
         if len(key) == len(index.column_names):
             rids = index.seek(key)
         else:
             rids = list(index.seek_prefix(key))
-        for rid in rids:
-            ctx.work.rows_processed += 1
-            yield table.get(rid)
+        yield from _fetch(table, rids, ctx)
 
     def describe(self) -> str:
         return f"IndexSeek({self.table_name}.{self.index_name})"
@@ -222,17 +204,13 @@ class IndexRangeScanOp(PhysicalOperator):
         self.low_inclusive = low_inclusive
         self.high_inclusive = high_inclusive
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        table = ctx.database.storage_table(self.table_name)
-        index = table.indexes.get(self.index_name)
-        if index is None:
-            raise ExecutionError(f"no index {self.index_name!r} on {self.table_name!r}")
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        table, index = _storage_index(ctx, self.table_name, self.index_name)
         low = tuple(m((), ctx) for m in self.low_makers) if self.low_makers else None
         high = tuple(m((), ctx) for m in self.high_makers) if self.high_makers else None
         ctx.work.index_seeks += 1
-        for rid in index.range_scan(low, high, self.low_inclusive, self.high_inclusive):
-            ctx.work.rows_processed += 1
-            yield table.get(rid)
+        rids = index.range_scan(low, high, self.low_inclusive, self.high_inclusive)
+        yield from _fetch(table, rids, ctx)
 
     def describe(self) -> str:
         return f"IndexRangeScan({self.table_name}.{self.index_name})"
@@ -254,11 +232,8 @@ class IndexExtremeOp(PhysicalOperator):
             raise ExecutionError(f"IndexExtreme supports MIN/MAX, not {which!r}")
         self.which = which
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        table = ctx.database.storage_table(self.table_name)
-        index = table.indexes.get(self.index_name)
-        if index is None:
-            raise ExecutionError(f"no index {self.index_name!r} on {self.table_name!r}")
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        _, index = _storage_index(ctx, self.table_name, self.index_name)
         ctx.work.index_seeks += 1
         value = None
         if self.which == "MAX":
@@ -272,7 +247,7 @@ class IndexExtremeOp(PhysicalOperator):
                     value = key[0][1]
                     break
         ctx.work.rows_processed += 1
-        yield (value,)
+        yield [(value,)]
 
     def describe(self) -> str:
         return f"IndexExtreme({self.which} via {self.table_name}.{self.index_name})"
@@ -303,19 +278,6 @@ class FilterOp(PhysicalOperator):
         # are opaque closures; the plan verifier needs the expression to
         # prove ChoosePlan guards mutually exclusive and exhaustive.
         self.startup_guard = startup_guard
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        if self.startup_predicate is not None:
-            if self.startup_predicate((), ctx) is not True:
-                return
-        child = self.children[0]
-        if self.predicate is None:
-            yield from child.execute(ctx)
-            return
-        for row in child.execute(ctx):
-            ctx.work.rows_processed += 1
-            if self.predicate(row, ctx) is True:
-                yield row
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         if self.startup_predicate is not None:
@@ -349,11 +311,6 @@ class ProjectOp(PhysicalOperator):
         super().__init__(schema, [child])
         self.makers = list(makers)
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for row in self.children[0].execute(ctx):
-            ctx.work.rows_processed += 1
-            yield tuple(maker(row, ctx) for maker in self.makers)
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         kernel = self._kernel("project", ctx, lambda: tuple_kernel(self.makers))
         for chunk in self.children[0].execute_batches(ctx):
@@ -378,20 +335,31 @@ class NestedLoopJoinOp(PhysicalOperator):
         self.predicate = predicate
         self.kind = kind
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         left, right = self.children
-        right_rows = list(right.execute(ctx))
+        right_rows = [row for chunk in right.execute_batches(ctx) for row in chunk]
         null_right = (None,) * len(right.schema)
-        for left_row in left.execute(ctx):
-            matched = False
-            for right_row in right_rows:
-                ctx.work.rows_processed += 1
-                combined = left_row + right_row
-                if self.predicate is None or self.predicate(combined, ctx) is True:
-                    matched = True
-                    yield combined
-            if self.kind == "LEFT" and not matched:
-                yield left_row + null_right
+        size = ctx.batch_rows
+        out: Batch = []
+        for chunk in left.execute_batches(ctx):
+            for left_row in chunk:
+                matched = False
+                for right_row in right_rows:
+                    ctx.work.rows_processed += 1
+                    combined = left_row + right_row
+                    if self.predicate is None or self.predicate(combined, ctx) is True:
+                        matched = True
+                        out.append(combined)
+                        if len(out) >= size:
+                            yield out
+                            out = []
+                if self.kind == "LEFT" and not matched:
+                    out.append(left_row + null_right)
+                    if len(out) >= size:
+                        yield out
+                        out = []
+        if out:
+            yield out
 
     def describe(self) -> str:
         return f"NestedLoopJoin({self.kind})"
@@ -419,30 +387,6 @@ class HashJoinOp(PhysicalOperator):
         self.residual = residual
         self.kind = kind
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        left, right = self.children
-        # Build on the right input (typically the smaller by optimizer choice).
-        build: dict = {}
-        for right_row in right.execute(ctx):
-            ctx.work.rows_processed += 1
-            key = tuple(maker(right_row, ctx) for maker in self.right_keys)
-            if any(part is None for part in key):
-                continue  # NULL never equi-joins
-            build.setdefault(key, []).append(right_row)
-        null_right = (None,) * len(right.schema)
-        for left_row in left.execute(ctx):
-            ctx.work.rows_processed += 1
-            key = tuple(maker(left_row, ctx) for maker in self.left_keys)
-            matches = build.get(key, []) if not any(part is None for part in key) else []
-            matched = False
-            for right_row in matches:
-                combined = left_row + right_row
-                if self.residual is None or self.residual(combined, ctx) is True:
-                    matched = True
-                    yield combined
-            if self.kind == "LEFT" and not matched:
-                yield left_row + null_right
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         left, right = self.children
         right_kernel = self._kernel("right-keys", ctx, lambda: tuple_kernel(self.right_keys))
@@ -455,7 +399,7 @@ class HashJoinOp(PhysicalOperator):
                     continue  # NULL never equi-joins
                 build.setdefault(key, []).append(right_row)
         null_right = (None,) * len(right.schema)
-        size = getattr(ctx, "batch_rows", DEFAULT_BATCH_ROWS)
+        size = ctx.batch_rows
         out: Batch = []
         for chunk in left.execute_batches(ctx):
             ctx.work.rows_processed += len(chunk)
@@ -516,38 +460,46 @@ class IndexLookupJoinOp(PhysicalOperator):
         self.residual = residual
         self.kind = kind
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        table = ctx.database.storage_table(self.table_name)
-        index = table.indexes.get(self.index_name)
-        if index is None:
-            raise ExecutionError(f"no index {self.index_name!r} on {self.table_name!r}")
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        table, index = _storage_index(ctx, self.table_name, self.index_name)
         partial = len(self.key_makers) < len(index.column_names)
         null_right = (None,) * len(self.right_schema)
-        for left_row in self.children[0].execute(ctx):
-            key = tuple(maker(left_row, ctx) for maker in self.key_makers)
-            ctx.work.index_seeks += 1
-            if any(part is None for part in key):
-                rids = []
-            elif partial:
-                rids = list(index.seek_prefix(key))
-            else:
-                rids = index.seek(key)
-            matched = False
-            for rid in rids:
-                right_full = table.get(rid)
-                ctx.work.rows_processed += 1
-                if (
-                    self.right_predicate is not None
-                    and self.right_predicate(right_full, ctx) is not True
-                ):
-                    continue
-                right_row = tuple(right_full[position] for position in self.right_positions)
-                combined = left_row + right_row
-                if self.residual is None or self.residual(combined, ctx) is True:
-                    matched = True
-                    yield combined
-            if self.kind == "LEFT" and not matched:
-                yield left_row + null_right
+        size = ctx.batch_rows
+        out: Batch = []
+        for chunk in self.children[0].execute_batches(ctx):
+            for left_row in chunk:
+                key = tuple(maker(left_row, ctx) for maker in self.key_makers)
+                ctx.work.index_seeks += 1
+                if any(part is None for part in key):
+                    rids = []
+                elif partial:
+                    rids = list(index.seek_prefix(key))
+                else:
+                    rids = index.seek(key)
+                matched = False
+                for rid in rids:
+                    right_full = table.get(rid)
+                    ctx.work.rows_processed += 1
+                    if (
+                        self.right_predicate is not None
+                        and self.right_predicate(right_full, ctx) is not True
+                    ):
+                        continue
+                    right_row = tuple(right_full[position] for position in self.right_positions)
+                    combined = left_row + right_row
+                    if self.residual is None or self.residual(combined, ctx) is True:
+                        matched = True
+                        out.append(combined)
+                        if len(out) >= size:
+                            yield out
+                            out = []
+                if self.kind == "LEFT" and not matched:
+                    out.append(left_row + null_right)
+                    if len(out) >= size:
+                        yield out
+                        out = []
+        if out:
+            yield out
 
     def describe(self) -> str:
         return f"IndexLookupJoin({self.table_name}.{self.index_name})"
@@ -586,18 +538,21 @@ class MergeJoinOp(PhysicalOperator):
 
     def _keyed(self, op: PhysicalOperator, makers: List[Scalar], ctx) -> List[Tuple]:
         keyed = []
-        for row in op.execute(ctx):
-            ctx.work.rows_processed += 1
-            key = tuple(maker(row, ctx) for maker in makers)
-            if any(part is None for part in key):
-                continue  # NULL never equi-joins
-            keyed.append((self._sortable(key), row))
+        for chunk in op.execute_batches(ctx):
+            ctx.work.rows_processed += len(chunk)
+            for row in chunk:
+                key = tuple(maker(row, ctx) for maker in makers)
+                if any(part is None for part in key):
+                    continue  # NULL never equi-joins
+                keyed.append((self._sortable(key), row))
         keyed.sort(key=lambda pair: pair[0])
         return keyed
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         left = self._keyed(self.children[0], self.left_keys, ctx)
         right = self._keyed(self.children[1], self.right_keys, ctx)
+        size = ctx.batch_rows
+        out: Batch = []
         i = j = 0
         while i < len(left) and j < len(right):
             left_key = left[i][0]
@@ -620,8 +575,13 @@ class MergeJoinOp(PhysicalOperator):
                     combined = left_row + right_row
                     ctx.work.rows_processed += 1
                     if self.residual is None or self.residual(combined, ctx) is True:
-                        yield combined
+                        out.append(combined)
+                        if len(out) >= size:
+                            yield out
+                            out = []
             i, j = i_end, j_end
+        if out:
+            yield out
 
     def describe(self) -> str:
         return "MergeJoin(INNER)"
@@ -658,10 +618,10 @@ class _AggState:
     def add_value(self, value: Any) -> None:
         """Accumulate one pre-extracted argument value.
 
-        The batch path extracts the argument column for a whole chunk in
-        one kernel call, then feeds values here in row order — so SUM/AVG
-        accumulate in exactly the same sequence (and float associativity)
-        as row mode.
+        The aggregate operator extracts the argument column for a whole
+        chunk in one kernel call, then feeds values here in row order — so
+        SUM/AVG accumulate in input order (and float associativity), the
+        same sequence as :meth:`add` one row at a time.
         """
         spec = self.spec
         if spec.argument is None:  # COUNT(*) counts rows, not values
@@ -717,26 +677,6 @@ class AggregateOp(PhysicalOperator):
         self.group_makers = list(group_makers)
         self.aggregates = list(aggregates)
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        groups: dict = {}
-        order: List[Tuple] = []
-        for row in self.children[0].execute(ctx):
-            ctx.work.rows_processed += 1
-            key = tuple(maker(row, ctx) for maker in self.group_makers)
-            states = groups.get(key)
-            if states is None:
-                states = [_AggState(spec) for spec in self.aggregates]
-                groups[key] = states
-                order.append(key)
-            for state in states:
-                state.add(row, ctx)
-        if not groups and not self.group_makers:
-            yield tuple(_AggState(spec).result() for spec in self.aggregates)
-            return
-        for key in order:
-            states = groups[key]
-            yield key + tuple(state.result() for state in states)
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         groups: dict = {}
         order: List[Tuple] = []
@@ -771,7 +711,7 @@ class AggregateOp(PhysicalOperator):
         if not groups and not self.group_makers:
             yield [tuple(_AggState(spec).result() for spec in self.aggregates)]
             return
-        size = getattr(ctx, "batch_rows", DEFAULT_BATCH_ROWS)
+        size = ctx.batch_rows
         out: Batch = []
         for key in order:
             out.append(key + tuple(state.result() for state in groups[key]))
@@ -797,22 +737,6 @@ class SortOp(PhysicalOperator):
         super().__init__(child.schema, [child])
         self.sort_makers = list(sort_makers)
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        rows = list(self.children[0].execute(ctx))
-        ctx.work.rows_processed += len(rows)
-        # Stable multi-pass sort: apply keys from least to most significant.
-        # NULL is the lowest value (T-SQL): first ascending, last
-        # descending — the same (0-tagged) key works for both directions.
-        for maker, descending in reversed(self.sort_makers):
-            def key_fn(row, maker=maker):
-                value = maker(row, ctx)
-                if value is None:
-                    return (0, 0)
-                return (1, value)
-
-            rows.sort(key=key_fn, reverse=descending)
-        yield from rows
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         rows: Batch = []
         for chunk in self.children[0].execute_batches(ctx):
@@ -823,9 +747,11 @@ class SortOp(PhysicalOperator):
             ctx,
             lambda: [batch_form(maker) for maker, _ in self.sort_makers],
         )
-        # Same stable multi-pass sort as row mode, but each pass extracts
-        # its whole key column with one kernel call, then reorders by
-        # index (``sorted`` with a key is stable, like ``list.sort``).
+        # Stable multi-pass sort, least significant key first. NULL is the
+        # lowest value (T-SQL): first ascending, last descending — the same
+        # (0-tagged) key works for both directions. Each pass extracts its
+        # whole key column with one kernel call, then reorders by index
+        # (``sorted`` with a key is stable).
         for (maker, descending), kernel in zip(
             reversed(self.sort_makers), reversed(kernels)
         ):
@@ -835,7 +761,7 @@ class SortOp(PhysicalOperator):
                 range(len(rows)), key=keyed.__getitem__, reverse=descending
             )
             rows = [rows[i] for i in positions]
-        size = getattr(ctx, "batch_rows", DEFAULT_BATCH_ROWS)
+        size = ctx.batch_rows
         for start in range(0, len(rows), size):
             yield rows[start : start + size]
 
@@ -849,19 +775,6 @@ class TopOp(PhysicalOperator):
     def __init__(self, child: PhysicalOperator, count_maker: Scalar):
         super().__init__(child.schema, [child])
         self.count_maker = count_maker
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        limit = self.count_maker((), ctx)
-        if limit is None:
-            raise ExecutionError("TOP count evaluated to NULL")
-        remaining = int(limit)
-        if remaining <= 0:
-            return
-        for row in self.children[0].execute(ctx):
-            yield row
-            remaining -= 1
-            if remaining == 0:
-                return
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         limit = self.count_maker((), ctx)
@@ -886,14 +799,6 @@ class DistinctOp(PhysicalOperator):
 
     def __init__(self, child: PhysicalOperator):
         super().__init__(child.schema, [child])
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        seen = set()
-        for row in self.children[0].execute(ctx):
-            ctx.work.rows_processed += 1
-            if row not in seen:
-                seen.add(row)
-                yield row
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         seen: set = set()
@@ -924,10 +829,6 @@ class UnionAllOp(PhysicalOperator):
         super().__init__(children[0].schema, children)
         self.choose_plan = choose_plan
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for child in self.children:
-            yield from child.execute(ctx)
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         for child in self.children:
             yield from child.execute_batches(ctx)
@@ -957,7 +858,7 @@ class RemoteQueryOp(PhysicalOperator):
         self.server_name = server_name
         self.sql_text = sql_text
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         if ctx.linked_servers is None:
             raise ExecutionError("no linked servers registered in context")
         server = ctx.linked_servers.get(self.server_name)
@@ -977,10 +878,11 @@ class RemoteQueryOp(PhysicalOperator):
                 rows = server.execute_remote_sql(self.sql_text, ctx.params)
         ctx.work.remote_queries += 1
         width = self.schema.row_width
-        for row in rows:
-            ctx.work.rows_processed += 1
-            ctx.work.bytes_transferred += width
-            yield tuple(row)
+        rows = iter(rows)
+        while chunk := [tuple(row) for row in islice(rows, ctx.batch_rows)]:
+            ctx.work.rows_processed += len(chunk)
+            ctx.work.bytes_transferred += width * len(chunk)
+            yield chunk
 
     def describe(self) -> str:
         text = self.sql_text if len(self.sql_text) <= 60 else self.sql_text[:57] + "..."

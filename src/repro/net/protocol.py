@@ -38,11 +38,10 @@ Any request may instead be answered by ``ERROR {kind, message,
 transient}`` carrying the server-side :class:`~repro.errors.ReproError`
 taxonomy — including the ``transient`` bit, so client-side retry
 policies and failover routers make the same decisions they would make
-in-process. Row streaming rides the engine's batch-execution chunk size
-(PR 6): a ``RESULT`` header is followed by row batches of the
-requester's ``fetch_rows`` (default: the server's ``batch_rows``), the
-wire analogue of :class:`~repro.exec.operators.BatchCursor` draining a
-plan chunk-at-a-time.
+in-process. Row streaming rides the engine's execution chunk size: a
+``RESULT`` header is followed by row batches of the requester's
+``fetch_rows`` (default: the server's ``batch_rows``), the same
+granularity at which the engine's operators hand rows to each other.
 
 ``budget`` in a request header is the *remaining* end-to-end deadline in
 seconds (PR 9): the server re-anchors it on its own clock, so deadline

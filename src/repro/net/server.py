@@ -480,10 +480,9 @@ class ReproServer:
         """RESULT header, then the rows in batches (fetch-in-batches).
 
         The batch size is the request's ``fetch_rows`` override, else the
-        connection default from HELLO, else the engine's vectorized-
-        execution chunk size — the wire hop streams rows at the same
-        granularity :class:`~repro.exec.operators.BatchCursor` produced
-        them.
+        connection default from HELLO, else the engine's execution chunk
+        size (``Server.batch_rows``) — the wire hop streams rows at the
+        granularity the plan produced them.
         """
         session = wire.session
         in_transaction = bool(session is not None and session.in_transaction)

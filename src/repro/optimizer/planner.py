@@ -1,6 +1,6 @@
 """The MTCache query planner.
 
-Implements the paper's optimizer architecture on top of the Volcano-style
+Implements the paper's optimizer architecture on top of the iterator
 executor:
 
 * **DataLocation as a physical property.** Table references resolve to
@@ -1828,9 +1828,6 @@ class _RelabelOp(PhysicalOperator):
 
     def __init__(self, child: PhysicalOperator, schema: Schema):
         super().__init__(schema, [child])
-
-    def execute(self, ctx):
-        return self.children[0].execute(ctx)
 
     def execute_batches(self, ctx):
         return self.children[0].execute_batches(ctx)

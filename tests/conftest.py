@@ -36,6 +36,11 @@ def _lock_witness_gate():
     assert not problems, "lock witness recorded violations:\n" + "\n".join(problems)
 
 
+def drain(op, ctx) -> list:
+    """Run a physical operator to completion and flatten its chunks."""
+    return [row for chunk in op.execute_batches(ctx) for row in chunk]
+
+
 def make_shop_backend(customers: int = 200, orders: int = 400) -> Server:
     """A small backend with customer/orders tables and statistics."""
     server = Server("backend")

@@ -1,63 +1,37 @@
-"""Batch (vectorized) execution mode: equivalence, chunking, caching.
+"""Batch execution: chunking, work counters, kernel caching, metrics.
 
-Batch mode moves chunks of rows between operators instead of one row at
-a time (``PhysicalOperator.execute_batches``); anything not answerable
-from these tests lives next to the expression-level checks in
-``test_expressions.py``. The invariant everything here leans on: for
-every query, batch mode must produce the same rows, the same work
-counters, and the same observable side effects as row mode.
+Operators move chunks of rows (``PhysicalOperator.execute_batches``);
+anything not answerable from these tests lives next to the
+expression-level checks in ``test_expressions.py``, and result
+correctness against the reference evaluator lives in
+``tests/integration/test_differential.py``. The invariant checked here:
+chunk boundaries are invisible — a plan drained one row per chunk returns
+the same rows, and counts the same work, as one drained in default-size
+chunks.
 """
-
-import os
 
 import pytest
 
 from repro.common.schema import Column, Schema
-from repro.common.types import FLOAT, INT, VARCHAR
+from repro.common.types import INT
 from repro.catalog.objects import TableDef
 from repro.engine.database import Database
-from repro.exec.context import (
-    DEFAULT_BATCH_ROWS,
-    ExecutionContext,
-    batch_exec_default,
-)
+from repro.exec.context import DEFAULT_BATCH_ROWS, ExecutionContext
 from repro.exec.expressions import ExpressionCompiler, compiled_like_pattern
 from repro.exec.operators import (
     BatchCursor,
     FilterOp,
+    IndexLookupJoinOp,
+    IndexRangeScanOp,
     NestedLoopJoinOp,
     SeqScanOp,
+    TopOp,
     ValuesOp,
 )
-from repro.sql import parse_expression
-from tests.conftest import make_shop_backend
-
-#: Queries spanning every batch-capable operator plus the fallbacks:
-#: scans, filters (LIKE/AND/OR/IS NULL/params), projection arithmetic,
-#: aggregation with and without GROUP BY, hash and index-lookup joins,
-#: sorting, TOP, DISTINCT, UNION ALL, and subqueries.
-EQUIVALENCE_QUERIES = [
-    "SELECT * FROM customer",
-    "SELECT cid, cname FROM customer WHERE cid <= 25",
-    "SELECT cname FROM customer WHERE segment = 'gold' AND cid > 50",
-    "SELECT cname FROM customer WHERE segment = 'gold' OR cid < 5",
-    "SELECT cname FROM customer WHERE cname LIKE 'cust1%'",
-    "SELECT cid FROM customer WHERE caddress IS NOT NULL AND cid % 7 = 0",
-    "SELECT oid, total * 2 + 1 FROM orders WHERE status = 'OPEN'",
-    "SELECT COUNT(*), SUM(total), AVG(total), MIN(total), MAX(total) FROM orders",
-    "SELECT status, COUNT(*), SUM(total) FROM orders GROUP BY status",
-    "SELECT segment, COUNT(*) FROM customer GROUP BY segment HAVING COUNT(*) > 10",
-    "SELECT c.cname, o.total FROM customer c JOIN orders o ON c.cid = o.o_cid "
-    "WHERE o.total > 500 ORDER BY o.total DESC",
-    "SELECT TOP 7 cname FROM customer ORDER BY cid DESC",
-    "SELECT DISTINCT status FROM orders",
-    "SELECT cid FROM customer WHERE cid <= 3 "
-    "UNION ALL SELECT oid FROM orders WHERE oid <= 3",
-    "SELECT cname FROM customer WHERE cid IN "
-    "(SELECT o_cid FROM orders WHERE total > 550)",
-    "SELECT o_cid, SUM(total) FROM orders GROUP BY o_cid "
-    "ORDER BY SUM(total) DESC",
-]
+from repro.exec.reference import evaluate_select
+from repro.sql import parse, parse_expression
+from tests.conftest import drain, make_shop_backend
+from tests.integration.test_differential import NULL_HEAVY_CASES, OPERATOR_CASES
 
 
 @pytest.fixture
@@ -65,53 +39,127 @@ def server():
     return make_shop_backend()
 
 
+def run_chunked(server, query, params=None, batch_rows=DEFAULT_BATCH_ROWS):
+    """Execute ``query`` with plans chunked at ``batch_rows`` rows.
+
+    Returns the result rows and the ``rows_processed`` the execution
+    counted.
+    """
+    make_context = server._make_context
+
+    def chunked_context(*args):
+        ctx = make_context(*args)
+        ctx.batch_rows = batch_rows
+        return ctx
+
+    server._make_context = chunked_context
+    try:
+        server.reset_work()
+        rows = server.execute(query, params=params).rows
+        return rows, server.total_work.rows_processed
+    finally:
+        del server._make_context
+
+
 def run_both_modes(server, query, params=None):
-    server.batch_exec = False
-    row_result = server.execute(query, params=params).rows
-    server.batch_exec = True
-    batch_result = server.execute(query, params=params).rows
-    return row_result, batch_result
+    """(one-row-chunk run, default-chunk run) of ``query``."""
+    return (
+        run_chunked(server, query, params, batch_rows=1),
+        run_chunked(server, query, params),
+    )
 
 
 class TestModeEquivalence:
-    @pytest.mark.parametrize("query", EQUIVALENCE_QUERIES)
+    """Row-at-a-time chunks (``batch_rows=1``) against default chunks.
+
+    One-row chunks make every operator flush after each row, so these
+    cases walk every chunk-boundary path (join output flushes, TOP
+    slicing, filtered-out chunks) that default-size chunks over these
+    small tables never reach.
+    """
+
+    @pytest.mark.parametrize("query", OPERATOR_CASES)
     def test_same_rows_in_both_modes(self, server, query):
-        row_result, batch_result = run_both_modes(server, query)
-        assert batch_result == row_result
+        (single_rows, _), (batch_rows, _) = run_both_modes(server, query)
+        assert batch_rows == single_rows
 
     def test_parameters_hoisted_per_batch(self, server):
-        row_result, batch_result = run_both_modes(
+        (single_rows, _), (batch_rows, _) = run_both_modes(
             server,
             "SELECT cname FROM customer WHERE cid <= @limit AND segment = @seg",
             params={"limit": 60, "seg": "gold"},
         )
-        assert batch_result == row_result
-        assert row_result  # the query must actually select something
+        assert batch_rows == single_rows
+        assert single_rows  # the query must actually select something
 
     def test_null_heavy_rows(self, server):
         server.execute("INSERT INTO customer VALUES (998, 'nully', NULL, NULL)")
         server.execute("INSERT INTO orders VALUES (9001, 998, NULL, NULL)")
-        for query in (
-            "SELECT cid FROM customer WHERE caddress IS NULL",
-            "SELECT cname FROM customer WHERE segment = 'gold'",
-            "SELECT COUNT(total), SUM(total), AVG(total) FROM orders",
-            "SELECT status, COUNT(*) FROM orders GROUP BY status",
-            "SELECT cname FROM customer WHERE cname LIKE 'nul%'",
-        ):
-            row_result, batch_result = run_both_modes(server, query)
-            assert batch_result == row_result
+        for query in NULL_HEAVY_CASES:
+            (single_rows, _), (batch_rows, _) = run_both_modes(server, query)
+            assert batch_rows == single_rows
 
     def test_work_counters_identical_across_modes(self, server):
         query = "SELECT status, COUNT(*) FROM orders WHERE total > 100 GROUP BY status"
-        server.batch_exec = False
+        (_, single_work), (_, batch_work) = run_both_modes(server, query)
+        assert batch_work == single_work
+        assert single_work >= 400  # the scan really counted its input
+
+
+class TestWorkCounters:
+    """Exact work counts for fixed queries on the default shop backend."""
+
+    @pytest.mark.parametrize(
+        "query, rows_processed, index_seeks",
+        [
+            ("SELECT status, COUNT(*) FROM orders WHERE total > 100 GROUP BY status", 1470, 0),
+            ("SELECT cname FROM customer WHERE cid = 17", 4, 1),
+            ("SELECT MAX(cid) FROM customer", 1, 1),
+            ("SELECT c.cname, o.total FROM customer c, orders o "
+             "WHERE c.cid < 3 AND o.oid < 3", 20, 2),
+            # TOP over an index range scan.
+            ("SELECT TOP 3 cid FROM customer WHERE cid <= 20", 80, 1),
+            # TOP over an index-lookup join whose input fits one chunk.
+            ("SELECT TOP 5 c.cname, o.total FROM customer c "
+             "JOIN orders o ON c.cid = o.o_cid WHERE c.cid <= 20", 140, 21),
+            # TOP over an index-lookup join that stops mid-input: the join
+            # flushes after 256 output rows (128 probes), while its scan
+            # input has already counted its whole 200-row chunk.
+            ("SELECT TOP 5 c.cname, o.total FROM orders o "
+             "JOIN customer c ON c.cid = o.o_cid", 912, 128),
+        ],
+    )
+    def test_exact_counts(self, server, query, rows_processed, index_seeks):
         server.reset_work()
         server.execute(query)
-        row_work = server.total_work.rows_processed
-        server.batch_exec = True
-        server.reset_work()
-        server.execute(query)
-        assert server.total_work.rows_processed == row_work
-        assert row_work >= 400  # the scan really counted its input
+        assert server.total_work.rows_processed == rows_processed
+        assert server.total_work.index_seeks == index_seeks
+
+    def test_top_stops_after_first_chunk(self):
+        database = Database("t")
+        schema = Schema([Column("id", INT, nullable=False, qualifier="t")])
+        database.create_storage(TableDef("t", schema, primary_key=("id",)))
+        table = database.storage_table("t")
+        for i in range(1, 101):
+            table.insert((i,))
+        index_name = next(iter(table.indexes))
+        blank = ExpressionCompiler(Schema(()))
+        two = blank.compile(parse_expression("2"))
+        key = ExpressionCompiler(schema).compile(parse_expression("t.id"))
+
+        scan = IndexRangeScanOp(schema, "t", index_name)
+        ctx = ExecutionContext(database=database, batch_rows=8)
+        assert drain(TopOp(scan, two), ctx) == [(1,), (2,)]
+        assert (ctx.work.rows_processed, ctx.work.index_seeks) == (8, 1)
+
+        join = IndexLookupJoinOp(
+            SeqScanOp(schema, "t"), schema, "t", index_name, [key], [0]
+        )
+        ctx = ExecutionContext(database=database, batch_rows=8)
+        assert drain(TopOp(join, two), ctx) == [(1, 1), (2, 2)]
+        # The scan counts its 8-row chunk; the join probes until its
+        # output chunk is full.
+        assert (ctx.work.rows_processed, ctx.work.index_seeks) == (16, 8)
 
 
 class TestBatchProtocol:
@@ -144,9 +192,9 @@ class TestBatchProtocol:
         # 19 of the 20 input chunks filter to nothing and must be elided.
         assert chunks == [[(77,)]]
 
-    def test_fallback_shim_chunks_row_operators(self):
-        # NestedLoopJoinOp has no batch override: the base-class shim
-        # must adapt its row iterator into properly sized chunks.
+    def test_join_output_flushes_at_batch_rows(self):
+        # 3 x 4 cross join: the output is cut into batch_rows-sized
+        # chunks regardless of where the input chunks end.
         database = Database("t")
         schema = Schema([Column("n", INT, qualifier="v")])
 
@@ -156,7 +204,6 @@ class TestBatchProtocol:
             )
 
         join = NestedLoopJoinOp(values(3), values(4))
-        assert "execute_batches" not in type(join).__dict__
         ctx = ExecutionContext(database=database, batch_rows=5)
         chunks = list(join.execute_batches(ctx))
         assert [len(chunk) for chunk in chunks] == [5, 5, 2]
@@ -189,42 +236,21 @@ class TestBatchProtocol:
 
 
 class TestModeSelection:
-    def test_env_flag_defaults_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_EXEC", raising=False)
-        assert batch_exec_default() is True
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no", "", "  FALSE "])
-    def test_env_flag_falsy_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BATCH_EXEC", value)
-        assert batch_exec_default() is False
-
-    def test_server_reads_env_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_EXEC", "0")
-        assert make_shop_backend().batch_exec is False
-        monkeypatch.setenv("REPRO_BATCH_EXEC", "1")
-        assert make_shop_backend().batch_exec is True
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        from repro.engine import Server
-
-        monkeypatch.setenv("REPRO_BATCH_EXEC", "0")
-        assert Server("s", batch_exec=True).batch_exec is True
+    """The execution settings a context takes from its server."""
 
     def test_context_inherits_server_settings(self):
         from repro.engine import Server
         from repro.engine.session import Session
 
-        server = Server("s", batch_exec=True, batch_rows=33)
+        server = Server("s", statement_fastpath=False)
         server.create_database("d")
         ctx = server._make_context({}, server.database("d"), Session())
-        assert ctx.batch_exec is True
-        assert ctx.batch_rows == 33
-        assert ExecutionContext(database=None).batch_rows == DEFAULT_BATCH_ROWS
+        assert ctx.fastpath is False
+        assert ctx.batch_rows == server.batch_rows == DEFAULT_BATCH_ROWS
 
 
 class TestObservability:
     def test_exec_metrics_exported(self, server):
-        server.batch_exec = True
         server.execute("SELECT status, COUNT(*) FROM orders GROUP BY status")
         counters = server.metrics.snapshot()["counters"]
         assert counters["exec.batches"] > 0
@@ -233,16 +259,7 @@ class TestObservability:
         assert histogram["count"] == counters["exec.batches"]
         assert 0 < histogram["mean"] <= DEFAULT_BATCH_ROWS
 
-    def test_exec_metrics_present_even_in_row_mode(self, server):
-        server.batch_exec = False
-        server.execute("SELECT cid FROM customer WHERE cid = 1")
-        counters = server.metrics.snapshot()["counters"]
-        # Eagerly registered: exports always carry the keys.
-        assert counters["exec.batches"] == 0
-        assert counters["exec.compiled_cache_hits"] == 0
-
     def test_profile_counts_batches(self, server):
-        server.batch_exec = True
         server.profile_statements = True
         result = server.execute("SELECT cname FROM customer WHERE cid <= 150")
         profile = result.profile
@@ -251,13 +268,6 @@ class TestObservability:
         assert profile.root.actual_batches >= 1
         assert "batches=" in profile.render()
         assert profile.to_dict()["actual_batches"] == profile.root.actual_batches
-
-    def test_profile_batches_zero_in_row_mode(self, server):
-        server.batch_exec = False
-        server.profile_statements = True
-        result = server.execute("SELECT cname FROM customer WHERE cid <= 150")
-        assert result.profile.root.actual_rows == 150
-        assert result.profile.root.actual_batches == 0
 
 
 class TestLikeMemo:
@@ -277,10 +287,12 @@ class TestLikeMemo:
 
     def test_dynamic_like_matches_scalar(self, server):
         # Pattern comes from a parameter: compiled per chunk, not per row.
-        row_result, batch_result = run_both_modes(
-            server,
-            "SELECT cname FROM customer WHERE cname LIKE @pat",
-            params={"pat": "cust1_"},
+        # The reference evaluator applies the scalar LIKE row by row.
+        query = "SELECT cname FROM customer WHERE cname LIKE @pat"
+        params = {"pat": "cust1_"}
+        batch_result = server.execute(query, params=params).rows
+        _, scalar_result = evaluate_select(
+            server.database("shop"), parse(query), params
         )
-        assert batch_result == row_result
-        assert len(row_result) == 10
+        assert sorted(batch_result) == sorted(scalar_result)
+        assert len(batch_result) == 10

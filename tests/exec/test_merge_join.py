@@ -7,6 +7,7 @@ from repro.exec.context import ExecutionContext
 from repro.exec.expressions import ExpressionCompiler
 from repro.exec.operators import MergeJoinOp, ValuesOp
 from repro.sql import parse_expression
+from tests.conftest import drain
 
 
 def values_op(qualifier, pairs):
@@ -35,7 +36,7 @@ def run_merge(left_pairs, right_pairs, residual_text=None):
             parse_expression(residual_text)
         )
     op = MergeJoinOp(left, right, [left_key], [right_key], residual)
-    return list(op.execute(ExecutionContext()))
+    return drain(op, ExecutionContext())
 
 
 class TestMergeJoinOperator:
@@ -79,7 +80,7 @@ class TestMergeJoinOperator:
         left_key = ExpressionCompiler(left.schema).compile(parse_expression("l.k"))
         right_key = ExpressionCompiler(right.schema).compile(parse_expression("r.k"))
         op = MergeJoinOp(left, right, [left_key], [right_key])
-        assert list(op.execute(ExecutionContext())) == []
+        assert drain(op, ExecutionContext()) == []
 
 
 class TestPlannerSelection:

@@ -26,6 +26,7 @@ from repro.exec.operators import (
     ValuesOp,
 )
 from repro.sql import parse_expression
+from tests.conftest import drain
 
 
 def make_db():
@@ -49,7 +50,7 @@ def ctx_for(database):
 
 
 def rows_of(op, database):
-    return list(op.execute(ctx_for(database)))
+    return drain(op, ctx_for(database))
 
 
 def scan_schema():
@@ -82,9 +83,9 @@ class TestScansAndFilters:
         guard = blank.compile(parse_expression("@x <= 5"))
         op = FilterOp(SeqScanOp(schema, "t"), startup_predicate=guard)
         ctx = ExecutionContext(database=database, params={"x": 10})
-        assert list(op.execute(ctx)) == []
+        assert drain(op, ctx) == []
         ctx2 = ExecutionContext(database=database, params={"x": 3})
-        assert len(list(op.execute(ctx2))) == 10
+        assert len(drain(op, ctx2)) == 10
 
     def test_startup_predicate_unknown_is_false(self):
         database = make_db()
@@ -319,7 +320,7 @@ class TestSortTopDistinctUnion:
         blank = ExpressionCompiler(Schema(()))
         op = TopOp(SeqScanOp(schema, "t"), blank.compile(parse_expression("@n")))
         ctx = ExecutionContext(database=database, params={"n": 4})
-        assert len(list(op.execute(ctx))) == 4
+        assert len(drain(op, ctx)) == 4
 
     def test_top_zero(self):
         database = make_db()

@@ -29,7 +29,11 @@ from tests.conftest import make_shop_backend
 
 @pytest.fixture(scope="module")
 def env():
-    backend = make_shop_backend(customers=80, orders=160)
+    backend = make_shop_backend(customers=80, orders=400)
+    # NULL-heavy rows: a customer with no address or segment, and an
+    # order with no total or status.
+    backend.execute("INSERT INTO customer VALUES (998, 'nully', NULL, NULL)", database="shop")
+    backend.execute("INSERT INTO orders VALUES (9001, 998, NULL, NULL)", database="shop")
     deployment = MTCacheDeployment(backend, "shop")
     cache = deployment.add_cache_server("diff_cache")
     cache.create_cached_view(
@@ -170,11 +174,17 @@ def normalize(rows, ordered):
     return Counter(rows)
 
 
+def reference_rows(database, statement):
+    """The oracle's rows; a UNION ALL is the bag union of its branches."""
+    branches = getattr(statement, "branches", (statement,))
+    return [row for branch in branches for row in evaluate_select(database, branch)[1]]
+
+
 def check(env, sql):
     backend, cache = env
     statement = parse(sql)
-    ordered = bool(statement.order_by)
-    _, expected = evaluate_select(backend.database("shop"), statement)
+    ordered = bool(getattr(statement, "order_by", ()))
+    expected = reference_rows(backend.database("shop"), statement)
     backend_rows = backend.execute(sql, database="shop").rows
     cache_rows = cache.execute(sql).rows
     assert normalize(backend_rows, ordered) == normalize(expected, ordered), sql
@@ -224,6 +234,42 @@ def test_property_dynamic_plan_parameter_sweep(env, value):
     assert cache_rows == backend_rows
 
 
+#: Queries spanning every physical operator: scans, filters (LIKE, AND,
+#: OR, IS NULL), projection arithmetic, aggregation with and without
+#: GROUP BY, hash and index-lookup joins, sorting, TOP, DISTINCT, UNION
+#: ALL and subqueries.
+OPERATOR_CASES = [
+    "SELECT * FROM customer",
+    "SELECT cid, cname FROM customer WHERE cid <= 25",
+    "SELECT cname FROM customer WHERE segment = 'gold' AND cid > 50",
+    "SELECT cname FROM customer WHERE segment = 'gold' OR cid < 5",
+    "SELECT cname FROM customer WHERE cname LIKE 'cust1%'",
+    "SELECT cid FROM customer WHERE caddress IS NOT NULL AND cid % 7 = 0",
+    "SELECT oid, total * 2 + 1 FROM orders WHERE status = 'OPEN'",
+    "SELECT COUNT(*), SUM(total), AVG(total), MIN(total), MAX(total) FROM orders",
+    "SELECT status, COUNT(*), SUM(total) FROM orders GROUP BY status",
+    "SELECT segment, COUNT(*) FROM customer GROUP BY segment HAVING COUNT(*) > 10",
+    "SELECT c.cname, o.total FROM customer c JOIN orders o ON c.cid = o.o_cid "
+    "WHERE o.total > 500 ORDER BY o.total DESC",
+    "SELECT TOP 7 cname FROM customer ORDER BY cid DESC",
+    "SELECT DISTINCT status FROM orders",
+    "SELECT cid FROM customer WHERE cid <= 3 "
+    "UNION ALL SELECT oid FROM orders WHERE oid <= 3",
+    "SELECT cname FROM customer WHERE cid IN "
+    "(SELECT o_cid FROM orders WHERE total > 550)",
+    "SELECT o_cid, SUM(total) FROM orders GROUP BY o_cid "
+    "ORDER BY SUM(total) DESC",
+]
+
+#: Queries whose inputs include the NULL-heavy rows.
+NULL_HEAVY_CASES = [
+    "SELECT cid FROM customer WHERE caddress IS NULL",
+    "SELECT cname FROM customer WHERE segment = 'gold'",
+    "SELECT COUNT(total), SUM(total), AVG(total) FROM orders",
+    "SELECT status, COUNT(*) FROM orders GROUP BY status",
+    "SELECT cname FROM customer WHERE cname LIKE 'nul%'",
+]
+
 FIXED_CASES = [
     # Hand-picked regressions / tricky shapes.
     "SELECT COUNT(*) FROM customer WHERE cid IN (SELECT o_cid FROM orders WHERE total > 100)",
@@ -242,6 +288,8 @@ FIXED_CASES = [
     "FROM customer GROUP BY CASE WHEN cid < 10 THEN 'low' ELSE 'high' END ORDER BY bucket",
     "SELECT MAX(cid) FROM customer",
     "SELECT MIN(total), MAX(total), COUNT(*) FROM orders WHERE status = 'OPEN'",
+    *OPERATOR_CASES,
+    *NULL_HEAVY_CASES,
 ]
 
 
