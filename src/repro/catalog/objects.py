@@ -8,8 +8,8 @@ copying any data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Tuple
 
 from repro.common.schema import Schema
 from repro.sql import ast
@@ -68,9 +68,19 @@ class ViewDef:
 
 @dataclass(frozen=True)
 class ProcedureDef:
-    """Metadata for a stored procedure: parameters and body AST."""
+    """Metadata for a stored procedure: parameters and body AST.
+
+    ``compiled`` holds the interpreter's compiled closure for each
+    expression node of the body and the parameter defaults, keyed by node
+    id. The nodes live as long as this definition, so an id cannot be
+    recycled while cached; a redefined (or ``replace``-d) procedure is a
+    new object with an empty memo.
+    """
 
     name: str
     params: Tuple[ast.ProcedureParam, ...]
     body: Tuple[ast.Statement, ...]
     source_text: str = ""
+    compiled: Dict[int, Any] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )

@@ -17,7 +17,7 @@ from repro.common.schema import Schema
 from repro.engine.results import Result
 from repro.errors import ExecutionError
 from repro.exec.context import ExecutionContext
-from repro.exec.expressions import ExpressionCompiler
+from repro.exec.expressions import ExpressionCompiler, Scalar
 from repro.sql import ast
 
 
@@ -48,6 +48,7 @@ class ProcedureInterpreter:
         self.session.transaction = getattr(session, "transaction", None)
         self._caller_session = session
         self._blank = ExpressionCompiler(Schema(()))
+        self._compiled: Dict[int, Scalar] = {}
 
     def call(
         self,
@@ -55,6 +56,7 @@ class ProcedureInterpreter:
         arguments: List[Tuple[Optional[str], ast.Expression]],
         outer_params: Optional[Dict[str, Any]] = None,
     ) -> Result:
+        self._compiled = procedure.compiled
         frame = self._bind_arguments(procedure, arguments, outer_params or {})
         result = Result()
         try:
@@ -79,17 +81,19 @@ class ProcedureInterpreter:
         named = {name: value for name, value in arguments if name is not None}
 
         for position, param in enumerate(procedure.params):
+            # Caller arguments are not nodes of the definition: compile
+            # them per call. Defaults are, and compile once.
             if param.name in named:
-                expression = named.pop(param.name)
+                compiled = self._blank.compile(named.pop(param.name))
             elif position < len(positional):
-                expression = positional[position]
+                compiled = self._blank.compile(positional[position])
             elif param.default is not None:
-                expression = param.default
+                compiled = self._compile(param.default)
             else:
                 raise ExecutionError(
                     f"missing argument @{param.name} for procedure {procedure.name}"
                 )
-            frame[param.name] = self._blank.compile(expression)((), ctx)
+            frame[param.name] = compiled((), ctx)
         if named:
             unknown = ", ".join(f"@{name}" for name in named)
             raise ExecutionError(
@@ -181,12 +185,23 @@ class ProcedureInterpreter:
 
     # -- helpers -------------------------------------------------------------
 
+    def _compile(self, expression: ast.Expression) -> Scalar:
+        """The closure for an expression node of the running procedure,
+        compiled once per definition."""
+        compiled = self._compiled.get(id(expression))
+        if compiled is None:
+            compiled = self._compiled[id(expression)] = self._blank.compile(expression)
+        return compiled
+
     def _evaluate(self, expression: ast.Expression, frame: Dict[str, Any]) -> Any:
+        # A fresh context per evaluation: it snapshots the frame and caches
+        # uncorrelated subquery results, which a later evaluation (the next
+        # WHILE test, say) must not see.
         ctx = self._context(frame)
         ctx.subquery_executor = lambda select, params: self.server.run_subquery(
             select, params, self.database, self.session
         )
-        return self._blank.compile(expression)((), ctx)
+        return self._compile(expression)((), ctx)
 
     @staticmethod
     def _truthy(value: Any) -> bool:

@@ -28,7 +28,7 @@ from repro.engine.ddl import (
     execute_grant,
 )
 from repro.engine.dml import execute_delete, execute_insert, execute_update
-from repro.engine.locks import LockMode, statement_lock_plan
+from repro.engine.locks import LockMode, LockPlan, statement_lock_plan
 from repro.engine.procedures import ProcedureInterpreter
 from repro.engine.results import Result
 from repro.engine.session import Session
@@ -167,8 +167,14 @@ class Server:
         # (linked servers executing by handle).
         self._prepared: Dict[int, PreparedStatement] = {}
         self._prepared_ids = itertools.count(1)
-        # Forwarded-DML fast path: stripped statement AST -> remote handle.
-        self._dml_forward_cache: LRUCache = LRUCache(256)
+        # Forwarding fast path: the text shipped for a forwarded statement,
+        # keyed by the stripped DML AST or by an EXEC's call shape
+        # (procedure name, argument names).
+        self._forward_texts: LRUCache = LRUCache(256)
+        # (database, id(statement)) -> (version, statement, lock plan).
+        # Keyed by identity, not by the AST's structural hash; the entry
+        # holds the statement, so its id cannot be recycled while cached.
+        self._lock_plans: LRUCache = LRUCache(plan_cache_size)
         #: How many times the lexer/parser actually ran (cache misses and
         #: fast-path-disabled parses). Benchmarks read deltas of this.
         self.parses = 0
@@ -197,7 +203,7 @@ class Server:
         self.available = False
         self.crashes += 1
         self._prepared.clear()
-        self._dml_forward_cache.clear()
+        self._forward_texts.clear()
         for database in self.databases.values():
             for transaction in database.transactions.active_transactions():
                 database.transactions.rollback(transaction)
@@ -373,7 +379,7 @@ class Server:
             return self._commit_transaction(database, session)
         if isinstance(statement, ast.RollbackTransaction):
             return self._rollback_transaction(database, session)
-        plan = statement_lock_plan(statement, database.catalog)
+        plan = self._lock_plan(statement, database)
         if plan is None or database.latch.owns_exclusive():
             return self._dispatch_unlocked(statement, merged, database, session)
         if plan.latch is LockMode.EXCLUSIVE:
@@ -382,6 +388,22 @@ class Server:
         with database.latch.shared():
             with database.lock_manager.locking(plan.tables):
                 return self._dispatch_unlocked(statement, merged, database, session)
+
+    def _lock_plan(self, statement: ast.Statement, database: Database) -> Optional[LockPlan]:
+        """The statement's lock plan, computed once per catalog version.
+
+        CREATE/DROP of tables, views and procedures bump
+        ``database.version``, so a redefined procedure or re-pointed view
+        is re-classified on its next execution.
+        """
+        key = (database.name, id(statement))
+        version = database.version
+        entry = self._lock_plans.get(key, valid=lambda e: e[0] == version)
+        if entry is not None:
+            return entry[2]
+        plan = statement_lock_plan(statement, database.catalog)
+        self._lock_plans[key] = (version, statement, plan)
+        return plan
 
     # -- transaction control ----------------------------------------------
 
@@ -734,10 +756,10 @@ class Server:
         stripped = self._strip_server_prefix(statement)
         if not self.statement_fastpath:
             return link.execute_statement_text(format_statement(stripped), params)
-        text = self._dml_forward_cache.get(stripped)
+        text = self._forward_texts.get(stripped)
         if text is None:
             text = format_statement(stripped)
-            self._dml_forward_cache[stripped] = text
+            self._forward_texts[stripped] = text
         link.statements_shipped += 1
         result = link.prepare(text).execute(params)
         self.total_work.inc("prepared_executions")
@@ -778,17 +800,35 @@ class Server:
             return result
 
         # Transparent forwarding of the call (paper §5.2): evaluate the
-        # arguments locally, ship EXEC with literal values.
+        # arguments locally and ship ``EXEC name @arg = @p0, ...`` with
+        # the values as parameters, so they keep their Python types and
+        # every call of one shape shares one text and one remote handle.
         server_name = explicit_server or database.backend_server
         if server_name is None:
             raise CatalogError(f"no procedure {name!r} and no backend server to forward to")
         link = self.linked_servers.get(server_name)
-        literal_args = []
-        for arg_name, expression in statement.arguments:
-            value = self._evaluate_scalar(expression, params, database, session)
-            literal_args.append((arg_name, ast.Literal(value)))
-        forwarded = ast.Execute((name,), tuple(literal_args))
-        return link.execute_statement_text(format_statement(forwarded), {})
+        values = {
+            f"p{position}": self._evaluate_scalar(expression, params, database, session)
+            for position, (_, expression) in enumerate(statement.arguments)
+        }
+        arg_names = tuple(arg_name for arg_name, _ in statement.arguments)
+        text = self._forward_texts.get((name, arg_names))
+        if text is None:
+            forwarded = ast.Execute(
+                (name,),
+                tuple(
+                    (arg_name, ast.Parameter(f"p{position}"))
+                    for position, arg_name in enumerate(arg_names)
+                ),
+            )
+            text = format_statement(forwarded)
+            self._forward_texts[(name, arg_names)] = text
+        if not self.statement_fastpath:
+            return link.execute_statement_text(text, values)
+        link.statements_shipped += 1
+        result = link.prepare(text).execute(values)
+        self.total_work.inc("prepared_executions")
+        return result
 
     # -- linked-server endpoint -------------------------------------------------
 
@@ -925,7 +965,8 @@ class Server:
             self.total_work = WorkCounters()
         self.statements_executed = 0
         self.parses = 0
-        for cache in (self._parse_cache, self._plan_cache, self._dml_forward_cache):
+        caches = (self._parse_cache, self._plan_cache, self._forward_texts, self._lock_plans)
+        for cache in caches:
             stats = cache.stats
             stats.hits = 0
             stats.misses = 0

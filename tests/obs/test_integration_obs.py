@@ -81,14 +81,28 @@ class TestBuyConfirmTrace:
         assert "est rows=" in text
 
     def test_shipped_statements_are_visible(self):
-        # enterOrder/addOrderLine are update-dominated procedures: their
-        # statements ship to the backend over the linked server, and the
-        # client side of each round trip is a span of its own.
-        names = {span.name for span in self.spans}
-        assert "remote.statement" in names
+        # Every statement the backend runs for the cache is the top of one
+        # shipped call, and the client side of each round trip is a
+        # cache1 span of its own, targeting the backend link.
+        by_id = {span.span_id: span for span in self.spans}
+        shipped = {}
+        for span in self.spans:
+            if span.service != "backend" or span.name != "statement":
+                continue
+            entry = by_id[span.parent_id]
+            if entry.name not in ("prepared", "batch"):
+                continue  # an inner statement of a procedure body
+            client = by_id[entry.parent_id]
+            assert client.service == "cache1"
+            assert client.name in ("remote.prepared", "remote.query")
+            assert client.attributes["target"] == "backend"
+            shipped.setdefault(span.attributes["statement"], set()).add(client.name)
+        # enterOrder/addOrderLine are update-dominated procedures: the
+        # calls forward to the backend by prepared handle.
+        assert shipped["Execute"] == {"remote.prepared"}
         # At least one local dynamic plan fetched remote rows too
         # (getCAddr/getCart read tables the cache does not hold).
-        assert "remote.query" in names or "remote.prepared" in names
+        assert "Select" in shipped
 
     def test_snapshot_reports_replication_lag(self):
         replication = self.snapshot["replication"]

@@ -243,3 +243,26 @@ class TestInteractionsEndToEnd:
         ).scalar
         cache_orders = caches[0].execute("SELECT COUNT(*) FROM cv_orders").scalar
         assert cache_orders == backend_orders
+
+
+class TestForwardedCallsParseOnce:
+    def test_buy_confirm_causes_no_backend_parses(self):
+        # buy_confirm forwards its update-dominated procedure calls
+        # (enterOrder, addOrderLine, enterCCXact, ...) to the backend.
+        # Once each call shape has been prepared, repeated calls ship only
+        # a handle and parameter values: the backend parses nothing more,
+        # and no forwarded text crowds its parse cache.
+        backend, config = build_backend(TPCWConfig(num_items=40, num_ebs=8))
+        deployment, caches = enable_caching(backend, ["c1"], config)
+        connection = OdbcConnection(caches[0].server, "tpcw", "dbo")
+        application = TPCWApplication(connection, config, random.Random(5))
+        session = application.new_session()
+        for _ in range(5):
+            application.buy_confirm(session)
+        deployment.sync()
+        parses = backend.parses
+        evictions = backend.statement_cache_stats()["parse_cache"]["evictions"]
+        for _ in range(30):
+            application.buy_confirm(session)
+        assert backend.parses - parses == 0
+        assert backend.statement_cache_stats()["parse_cache"]["evictions"] == evictions == 0
